@@ -72,7 +72,7 @@ impl MachineBuilder {
     }
 
     /// Seed the builder from an existing config (the migration path for
-    /// the `Machine::new`/`run` shims and the sweep runner). The config's
+    /// the `Machine::run` shim and the sweep runner). The config's
     /// `l1_to_l1` is treated as deliberate: a later `l2()` keeps it.
     pub fn from_config(cfg: MachineConfig, mode: RunMode) -> Self {
         MachineBuilder {
@@ -353,6 +353,24 @@ mod tests {
                 n_cores: 4
             })
         );
+    }
+
+    /// A dead (zero or negative bandwidth) or NaN link is rejected at
+    /// build time: a dead link's occupancy would wrap the receive cost
+    /// below the link latency, and NaN would make every message cost one
+    /// cycle.
+    #[test]
+    fn dead_or_nan_interconnect_rejected() {
+        let b = bundle(1);
+        for bytes_per_cycle in [0.0, -4.0, f64::NAN] {
+            let mut cfg = MachineConfig::fat_cmp(1, 1 << 20, 8);
+            cfg.interconnect.bytes_per_cycle = bytes_per_cycle;
+            let err = MachineBuilder::from_config(cfg, MODE)
+                .build(&b)
+                .map(|_m| ())
+                .unwrap_err();
+            assert_eq!(err, ConfigError::BadInterconnect, "{bytes_per_cycle}");
+        }
     }
 
     #[test]

@@ -64,6 +64,9 @@ pub enum ConfigError {
     /// A cache level with zero access latency (free caches break the
     /// stall accounting).
     ZeroLevelLatency { level: usize },
+    /// An interconnect whose bandwidth is zero, negative or NaN: a dead
+    /// link would read as cheaper than a live one, and NaN as free.
+    BadInterconnect,
 }
 
 impl fmt::Display for ConfigError {
@@ -117,6 +120,10 @@ impl fmt::Display for ConfigError {
             ConfigError::ZeroLevelLatency { level } => {
                 write!(f, "cache level {level}: zero access latency")
             }
+            ConfigError::BadInterconnect => write!(
+                f,
+                "interconnect bandwidth must be a positive number of bytes per cycle"
+            ),
         }
     }
 }
@@ -609,6 +616,10 @@ impl MachineConfig {
             if g.size < 64 || g.assoc == 0 {
                 return Err(ConfigError::BadCacheGeom { which });
             }
+        }
+        let bw = self.interconnect.bytes_per_cycle;
+        if bw.is_nan() || bw <= 0.0 {
+            return Err(ConfigError::BadInterconnect);
         }
         self.topology.validate(self.n_cores)
     }

@@ -5,6 +5,11 @@
 //! machine can mix slot kinds freely (the heterogeneous-CMP scenarios of
 //! Porobic et al. and Schall & Härder) and new core models plug in
 //! without touching the cycle loop.
+//!
+//! Replay is event-driven: after a stall cycle the machine asks the core
+//! whether its coming cycles are pure no-ops ([`Core::sleep`]) and, if
+//! so, stops calling it until its wake-up cycle, charging the skipped
+//! cycles in bulk.
 
 use dbcmp_trace::region::CodeRegions;
 
@@ -20,7 +25,8 @@ use crate::stats::CycleClass;
 pub trait Core {
     /// Simulate one cycle as core number `core` at time `now`. Returns
     /// the cycle's accounting class, or `None` when the core has no work
-    /// at all (inactive cores are not charged).
+    /// at all: no thread bound or queued. That is final, so the machine
+    /// neither charges nor calls the core again.
     fn cycle(
         &mut self,
         core: usize,
@@ -30,6 +36,16 @@ pub trait Core {
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
     ) -> Option<CycleClass>;
+
+    /// Asked after [`cycle`](Self::cycle) at `now` charged a stall class:
+    /// are the coming cycles pure no-ops — no memory-system call, no
+    /// trace read, no state change beyond per-cycle bookkeeping? If so,
+    /// return `(wake, class)`: every cycle in `now + 1 .. wake` would
+    /// charge `class`, and `wake` is the first cycle that must run. The
+    /// core applies the span's bookkeeping before returning, so the
+    /// machine does not call it again until `wake`. `None` means the next
+    /// cycle must run (always exact, never skips).
+    fn sleep(&mut self, now: u64, threads: &[ThreadState<'_>]) -> Option<(u64, CycleClass)>;
 
     /// The core's hardware contexts (thread slots), in binding order.
     fn contexts(&self) -> &[CtxBase];

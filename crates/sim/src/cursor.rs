@@ -153,13 +153,21 @@ impl<'a> ThreadState<'a> {
         r.base + self.region_off[region as usize]
     }
 
-    /// Advance the fetch cursor by one instruction, wrapping at the
-    /// region's footprint.
+    /// Instructions left in the I-line of the current fetch address,
+    /// the current one included.
     #[inline]
-    pub fn advance_instr(&mut self, region: u16, regions: &CodeRegions) {
+    pub fn line_instrs_left(&self, region: u16, regions: &CodeRegions) -> u64 {
+        (64 - (self.fetch_addr(region, regions) & 63)) / INSTR_BYTES
+    }
+
+    /// Advance the fetch cursor by `n` instructions of the current
+    /// I-line, wrapping at the region's footprint. Footprints end on a
+    /// line boundary, so only the last of the `n` can reach it.
+    #[inline]
+    pub fn advance_instrs(&mut self, region: u16, regions: &CodeRegions, n: u64) {
         let fp = regions.get(region).footprint;
         let off = &mut self.region_off[region as usize];
-        *off += INSTR_BYTES;
+        *off += n * INSTR_BYTES;
         if *off >= fp {
             *off = 0;
         }
@@ -252,11 +260,15 @@ mod tests {
         let mut ts = ThreadState::new(&tr, &regions, false);
         let base = regions.get(r).base;
         assert_eq!(ts.fetch_addr(r, &regions), base);
-        for _ in 0..31 {
-            ts.advance_instr(r, &regions);
+        assert_eq!(ts.line_instrs_left(r, &regions), 16);
+        ts.advance_instrs(r, &regions, 16);
+        assert_eq!(ts.fetch_addr(r, &regions), base + 64, "one whole line");
+        for _ in 0..15 {
+            ts.advance_instrs(r, &regions, 1);
         }
         assert_eq!(ts.fetch_addr(r, &regions), base + 124);
-        ts.advance_instr(r, &regions);
+        assert_eq!(ts.line_instrs_left(r, &regions), 1);
+        ts.advance_instrs(r, &regions, 1);
         assert_eq!(
             ts.fetch_addr(r, &regions),
             base,

@@ -150,9 +150,10 @@ impl Core for FatCore {
                     *left -= take as u32;
                     retired += take;
                     self.rob_instrs -= take;
-                    if *left == 0 {
-                        self.rob.pop_front();
+                    if *left > 0 {
+                        break; // the ALU width is used up
                     }
+                    self.rob.pop_front();
                 }
                 Some(RobSlot::Load { ready_at, .. }) => {
                     if *ready_at <= now {
@@ -216,6 +217,84 @@ impl Core for FatCore {
             return Some(class);
         }
         Some(CycleClass::Other)
+    }
+
+    /// Idle while the window head is an unready load (or the window is
+    /// empty) and decode cannot act. Every condition below holds until
+    /// one of the wake-up candidates: the head load's return, the oldest
+    /// store's drain, the fetch and decode gates, and the quantum expiry
+    /// that requests a switch. The span's only bookkeeping is
+    /// `quantum_left`.
+    fn sleep(&mut self, now: u64, threads: &[ThreadState<'_>]) -> Option<(u64, CycleClass)> {
+        let next = now + 1;
+        // An unbound slot with work in its window is transient: let it run.
+        let t = self.base.thread?;
+        let done = threads[t].done;
+        if done && self.rob.is_empty() {
+            return None; // the finished thread rotates out
+        }
+        let mut wake = u64::MAX;
+        let head = match self.rob.front() {
+            Some(RobSlot::Run { .. }) => return None,
+            Some(&RobSlot::Load { ready_at, class }) => {
+                wake = ready_at;
+                Some(class)
+            }
+            None => None,
+        };
+        let oldest_store = self.base.oldest_store();
+        if let Some((ready, _)) = oldest_store {
+            wake = wake.min(ready);
+        }
+        for until in [self.fetch_until, self.gate_until] {
+            if until > now {
+                wake = wake.min(until);
+            }
+        }
+        // Decode must be unable to act; what blocks it is its blame.
+        let blame = if done
+            || self.want_switch
+            || self.gate_until > next
+            || self.fetch_until > next
+            || self.rob_instrs >= self.rob_cap
+        {
+            None
+        } else {
+            let th = &threads[t];
+            if th.pending_load.is_some() {
+                if self.outstanding < self.mshrs {
+                    return None;
+                }
+                Some(CycleClass::DStallMem)
+            } else if th.pending_store.is_some() {
+                if self.base.store_space() {
+                    return None;
+                }
+                oldest_store.map(|(_, c)| c)
+            } else if th.pending_fence && !(self.rob.is_empty() && oldest_store.is_none()) {
+                Some(oldest_store.map_or(CycleClass::Other, |(_, c)| c))
+            } else {
+                return None;
+            }
+        };
+        if self.want_switch {
+            if self.rob.is_empty() && oldest_store.is_none() {
+                return None; // the pending switch fires
+            }
+        } else if !self.base.run_q.is_empty() {
+            wake = wake.min(next + self.base.quantum_left);
+        }
+        if wake <= next {
+            return None;
+        }
+        let class = head
+            .or((self.fetch_until > next).then_some(self.fetch_class))
+            .or((self.gate_until > next).then_some(self.gate_class))
+            .or(blame)
+            .or(oldest_store.map(|(_, c)| c))
+            .unwrap_or(CycleClass::Other);
+        self.base.quantum_left = self.base.quantum_left.saturating_sub(wake - next);
+        Some((wake, class))
     }
 }
 
@@ -296,24 +375,39 @@ impl FatCore {
                     break;
                 }
             }
-            // Current exec run: fetch + decode one instruction.
+            // Current exec run: fetch, then decode as much of the fetched
+            // I-line as width and window allow. The line's later
+            // instructions need no fetch check, so one step takes them all.
             if let Some((region, left)) = th.cur_exec {
                 if let Some((ready, class)) = fetch_check(th, region, regions, mem, core, now) {
                     self.fetch_until = ready;
                     self.fetch_class = class;
                     break;
                 }
-                th.advance_instr(region, regions);
-                th.cur_exec = if left > 1 {
-                    Some((region, left - 1))
-                } else {
-                    None
-                };
-                self.push_run(1);
-                decoded += 1;
-                th.mispred_acc += regions.get(region).mispred_per_kinstr / 1000.0;
-                if th.mispred_acc >= 1.0 {
-                    th.mispred_acc -= 1.0;
+                let room = (self.width - decoded).min(self.rob_cap - self.rob_instrs) as u64;
+                let batch = th
+                    .line_instrs_left(region, regions)
+                    .min(left as u64)
+                    .min(room);
+                // Mispredictions accrue per instruction; a redirect ends the
+                // batch at the instruction that caused it.
+                let rate = regions.get(region).mispred_per_instr();
+                let mut n = 0;
+                let mut redirect = false;
+                while n < batch {
+                    n += 1;
+                    th.mispred_acc += rate;
+                    if th.mispred_acc >= 1.0 {
+                        th.mispred_acc -= 1.0;
+                        redirect = true;
+                        break;
+                    }
+                }
+                th.advance_instrs(region, regions, n);
+                th.cur_exec = (left as u64 > n).then(|| (region, left - n as u32));
+                self.push_run(n as u32);
+                decoded += n as usize;
+                if redirect {
                     // Redirect: decode stops for the pipeline depth.
                     self.gate_until = now + self.pipeline_depth;
                     self.gate_class = CycleClass::Other;
@@ -618,6 +712,51 @@ mod tests {
         assert!(cycles > 400, "cycles={cycles}");
         assert_eq!(core.retired, 5);
         assert!(threads[0].done);
+    }
+
+    /// Decode takes the rest of a fetched I-line in one step. Pinned to
+    /// the cycle counts and breakdowns of the per-instruction decoder
+    /// (commit `faa943c`): runs that cross lines and wrap small regions,
+    /// mispredictions (up to 300 per 1000 instructions), and windows
+    /// small enough that the ROB, not the width, ends a step.
+    #[test]
+    fn line_batched_decode_matches_per_instruction_decode() {
+        use crate::stats::Breakdown;
+        let expected = [
+            (0.0, 128, 9_456, [1_688, 0, 411, 0, 7_355, 0, 2]),
+            (40.0, 128, 9_770, [1_690, 0, 411, 0, 7_645, 0, 24]),
+            (40.0, 8, 19_435, [1_729, 0, 411, 0, 16_270, 0, 1_025]),
+            (300.0, 16, 27_532, [1_941, 3, 411, 0, 16_350, 0, 8_827]),
+        ];
+        for (mispred, rob, cycles, breakdown) in expected {
+            let cfg = MachineConfig::fat_cmp(1, 1 << 20, 10);
+            let mut regions = CodeRegions::new();
+            let r = regions.add("hot", 256, mispred);
+            let s = regions.add("cold", 64, mispred / 2.0);
+            let mut mem = MemSys::new(&cfg);
+            let mut t = Tracer::recording();
+            for k in 0..40u64 {
+                t.exec(r, 37 + (k as u32 % 5) * 11);
+                t.load(0x4_0000 + k * 64, 8);
+                t.exec(s, 23);
+                t.store(0x9_0000 + (k % 8) * 64, 8);
+            }
+            let tr = t.finish();
+            let mut threads = vec![ThreadState::new(&tr, &regions, false)];
+            let mut core = FatCore::new(&cfg, 4, rob, 8);
+            core.base.thread = Some(0);
+            let mut ctl = MachineCtl {
+                remaining: 1,
+                ..Default::default()
+            };
+            let mut b = Breakdown::default();
+            let mut now = 0;
+            while let Some(class) = core.cycle(0, now, &mut mem, &mut threads, &regions, &mut ctl) {
+                b.charge(class, 1);
+                now += 1;
+            }
+            assert_eq!((now, b.cycles), (cycles, breakdown), "{mispred} {rob}");
+        }
     }
 
     #[test]

@@ -90,9 +90,11 @@ impl Interconnect {
     }
 
     /// Cycles the *receiver* stalls waiting for a `bytes`-byte message
-    /// it needs: one-way latency plus serialization.
+    /// it needs: one-way latency plus serialization (saturating, so a
+    /// dead link never reads cheaper than its latency).
     pub fn recv_cycles(&self, bytes: u32) -> u64 {
-        self.latency_cycles + self.occupancy_cycles(bytes)
+        self.latency_cycles
+            .saturating_add(self.occupancy_cycles(bytes))
     }
 }
 
@@ -142,5 +144,6 @@ mod tests {
             bytes_per_cycle: 0.0,
         };
         assert_eq!(dead.occupancy_cycles(64), u64::MAX);
+        assert_eq!(dead.recv_cycles(64), u64::MAX, "never wraps below latency");
     }
 }

@@ -93,15 +93,23 @@ impl Core for LeanCore {
         }
 
         // Pick the next runnable context, round-robin.
+        // Wrapped by compare rather than `%`, which would divide per step.
         let mut chosen = None;
-        for k in 0..n {
-            let i = (self.rr + k) % n;
+        let mut i = self.rr;
+        for _ in 0..n {
             if self.ctxs[i].runnable(now) {
                 chosen = Some(i);
                 break;
             }
+            i += 1;
+            if i == n {
+                i = 0;
+            }
         }
-        self.rr = (self.rr + 1) % n;
+        self.rr += 1;
+        if self.rr == n {
+            self.rr = 0;
+        }
 
         let Some(i) = chosen else {
             // All contexts blocked: charge the longest-waiting one.
@@ -145,6 +153,36 @@ impl Core for LeanCore {
             // The context blocked on its very first slot this cycle.
             Some(self.ctxs[i].blocked_class)
         }
+    }
+
+    /// Idle while every bound context is blocked, no bound thread is
+    /// finished and no unbound context has threads queued: until the
+    /// earliest unblock, each cycle charges the longest-blocked context
+    /// (the first with the smallest `blocked_since`, as `cycle` picks it).
+    /// The span's only bookkeeping is the round-robin pointer.
+    fn sleep(&mut self, now: u64, threads: &[ThreadState<'_>]) -> Option<(u64, CycleClass)> {
+        let next = now + 1;
+        let mut wake = u64::MAX;
+        let mut oldest: Option<&CtxBase> = None;
+        for ctx in &self.ctxs {
+            match ctx.thread {
+                Some(t) => {
+                    if threads[t].done || ctx.blocked_until <= next {
+                        return None;
+                    }
+                    wake = wake.min(ctx.blocked_until);
+                    if oldest.is_none_or(|o| ctx.blocked_since < o.blocked_since) {
+                        oldest = Some(ctx);
+                    }
+                }
+                None if !ctx.run_q.is_empty() => return None,
+                None => {}
+            }
+        }
+        let class = oldest?.blocked_class;
+        let n = self.ctxs.len() as u64;
+        self.rr = ((self.rr as u64 + (wake - next) % n) % n) as usize;
+        Some((wake, class))
     }
 }
 
@@ -218,7 +256,7 @@ fn issue_from(
                 ctx.block(ready, class, now);
                 break;
             }
-            th.advance_instr(region, regions);
+            th.advance_instrs(region, regions, 1);
             th.cur_exec = if left > 1 {
                 Some((region, left - 1))
             } else {
@@ -227,7 +265,7 @@ fn issue_from(
             issued += 1;
             progress += 1;
             // Branch misprediction charge.
-            th.mispred_acc += regions.get(region).mispred_per_kinstr / 1000.0;
+            th.mispred_acc += regions.get(region).mispred_per_instr();
             if th.mispred_acc >= 1.0 {
                 th.mispred_acc -= 1.0;
                 ctx.block(now + pipeline_depth, CycleClass::Other, now);

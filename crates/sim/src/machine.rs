@@ -10,6 +10,14 @@
 //!   (UIPC), the paper's throughput metric.
 //! * [`RunMode::Completion`] — every trace runs once to completion;
 //!   response time comes from per-unit latencies.
+//!
+//! Replay is event-driven. A core whose next cycles are pure no-ops
+//! ([`Core::sleep`]) is not called until its wake-up cycle; its skipped
+//! cycles are charged in bulk when it wakes, at the warm-up/measure
+//! boundary, and at the end of the run. When every core sleeps the clock
+//! jumps to the earliest wake-up. The memory system is timestamp-driven
+//! (it has no per-cycle tick), so skipping cycles that make no access is
+//! exact: results are identical to calling every core on every cycle.
 
 use dbcmp_trace::TraceBundle;
 
@@ -21,7 +29,7 @@ use crate::fat::FatCore;
 use crate::interconnect::Interconnect;
 use crate::lean::LeanCore;
 use crate::memsys::MemSys;
-use crate::stats::{Breakdown, RemoteCounters, SimResult};
+use crate::stats::{Breakdown, CycleClass, RemoteCounters, SimResult};
 
 /// Global run-state shared by the core models.
 #[derive(Debug, Default)]
@@ -68,7 +76,18 @@ fn make_core(cfg: &MachineConfig, kind: CoreKind) -> Box<dyn Core> {
     }
 }
 
-/// A fully assembled machine, ready to step.
+/// A core's latest sleep: it is called again once `at <= now`, and its
+/// skipped cycles `from..at` are charged to `idle` as they are settled.
+/// A core with no work left sleeps forever with `idle: None` and is never
+/// charged again.
+#[derive(Debug, Clone, Copy, Default)]
+struct Wake {
+    at: u64,
+    from: u64,
+    idle: Option<CycleClass>,
+}
+
+/// A fully assembled machine, ready to execute.
 pub struct Machine<'a> {
     cfg: MachineConfig,
     bundle: &'a TraceBundle,
@@ -77,11 +96,10 @@ pub struct Machine<'a> {
     mem: MemSys,
     ctl: MachineCtl,
     per_core: Vec<Breakdown>,
+    /// Per core: a core is called at `now` while `wake.at <= now`.
+    wake: Vec<Wake>,
     now: u64,
     mode: RunMode,
-    /// Built through the `Machine::new` manual-stepping shim: the mode
-    /// is a placeholder, so `execute()` must refuse to run it.
-    manual_shim: bool,
 }
 
 impl<'a> Machine<'a> {
@@ -133,59 +151,100 @@ impl<'a> Machine<'a> {
                 ..Default::default()
             },
             per_core: vec![Breakdown::default(); n_cores],
+            wake: vec![Wake::default(); n_cores],
             now: 0,
             mode,
-            manual_shim: false,
         }
     }
 
-    /// Thin shim retained from the pre-builder API: build a machine for
-    /// **manual stepping** (`step()` in a caller-owned loop), panicking
-    /// on a degenerate config. The stored run mode is a placeholder —
-    /// `execute()` refuses machines built this way, so a zero-window
-    /// throughput run can never silently report zeros. Prefer
-    /// [`MachineBuilder`], which surfaces a `ConfigError` and carries a
-    /// real `RunMode`.
-    pub fn new(cfg: MachineConfig, bundle: &'a TraceBundle, wrap: bool) -> Self {
-        let mode = if wrap {
-            RunMode::Throughput {
-                warmup: 0,
-                measure: 0,
+    /// Run cycles until `end`, or — with `until_done` — until every
+    /// thread has finished, whichever comes first. Only awake cores are
+    /// called, in core order; a core that reports a no-op span sleeps
+    /// until its wake-up, and when every core sleeps the clock jumps to
+    /// the earliest one (capped at `end`).
+    fn run_to(&mut self, end: u64, until_done: bool) {
+        while self.now < end && !(until_done && self.ctl.remaining == 0) {
+            let now = self.now;
+            let mut next = end;
+            for c in 0..self.cores.len() {
+                let at = self.wake[c].at;
+                if at > now {
+                    next = next.min(at);
+                    continue;
+                }
+                self.settle(c, now);
+                match self.cycle_core(c, now) {
+                    Some(wake) => {
+                        next = next.min(wake.at);
+                        self.wake[c] = wake;
+                    }
+                    None => next = now + 1,
+                }
             }
-        } else {
-            RunMode::Completion {
-                max_cycles: u64::MAX,
-            }
+            self.now = if until_done && self.ctl.remaining == 0 {
+                now + 1
+            } else {
+                next
+            };
+        }
+    }
+
+    /// Run core `c`'s cycle at `now` and charge it. Returns the core's
+    /// new wake-up if it sleeps; `None` if it runs again next cycle (its
+    /// settled `Wake`, now in the past, stays as it is).
+    fn cycle_core(&mut self, c: usize, now: u64) -> Option<Wake> {
+        let charge = self.cores[c].cycle(
+            c,
+            now,
+            &mut self.mem,
+            &mut self.threads,
+            &self.bundle.regions,
+            &mut self.ctl,
+        );
+        let Some(class) = charge else {
+            // No thread bound or queued: no work ever again.
+            return Some(Wake {
+                at: u64::MAX,
+                from: now,
+                idle: None,
+            });
         };
-        let mut m = MachineBuilder::from_config(cfg, mode)
-            .build(bundle)
-            // lint:allow(panic): documented panic shim; fallible callers build via MachineBuilder and get a ConfigError
-            .unwrap_or_else(|e| panic!("invalid machine config: {e}"));
-        m.manual_shim = true;
-        m
+        self.per_core[c].charge(class, 1);
+        if class == CycleClass::Compute {
+            return None;
+        }
+        let (at, idle) = self.cores[c].sleep(now, &self.threads)?;
+        Some(Wake {
+            at,
+            from: now + 1,
+            idle: Some(idle),
+        })
     }
 
-    /// Advance one cycle across all cores.
-    pub fn step(&mut self) {
-        for c in 0..self.cores.len() {
-            let charge = self.cores[c].cycle(
-                c,
-                self.now,
-                &mut self.mem,
-                &mut self.threads,
-                &self.bundle.regions,
-                &mut self.ctl,
-            );
-            if let Some(class) = charge {
-                self.per_core[c].charge(class, 1);
+    /// Charge core `c`'s skipped cycles up to `min(upto, wake-up)`.
+    fn settle(&mut self, c: usize, upto: u64) {
+        let w = &mut self.wake[c];
+        let to = upto.min(w.at);
+        if let Some(class) = w.idle {
+            if to > w.from {
+                self.per_core[c].charge(class, to - w.from);
+                w.from = to;
             }
         }
-        self.now += 1;
+    }
+
+    /// Charge every sleeping core up to the current cycle (window edges).
+    fn settle_all(&mut self) {
+        for c in 0..self.cores.len() {
+            self.settle(c, self.now);
+        }
     }
 
     /// Zero all measurement state (end of warm-up); cache/thread state is
-    /// preserved.
+    /// preserved. Sleeping cores are charged up to the boundary first, so
+    /// the window counts only their cycles from here on.
     fn reset_measurement(&mut self) {
+        self.settle_all();
         self.mem.reset_counters();
         self.ctl.units = 0;
         self.ctl.unit_cycles = 0;
@@ -199,7 +258,8 @@ impl<'a> Machine<'a> {
         }
     }
 
-    fn result(&self, cycles: u64) -> SimResult {
+    fn result(&mut self, cycles: u64) -> SimResult {
+        self.settle_all();
         let mut agg = Breakdown::default();
         for b in &self.per_core {
             agg.merge(b);
@@ -219,33 +279,17 @@ impl<'a> Machine<'a> {
     }
 
     /// Run the machine's configured [`RunMode`] to the end and report.
-    ///
-    /// Panics for machines built through the `Machine::new` shim, whose
-    /// mode is a manual-stepping placeholder (a zero-cycle throughput
-    /// window would otherwise "run" and report all zeros).
     pub fn execute(mut self) -> SimResult {
-        assert!(
-            !self.manual_shim,
-            "Machine::new builds a manual-stepping machine; use \
-             MachineBuilder::from_config(cfg, mode).build(bundle) to execute()"
-        );
         match self.mode {
             RunMode::Throughput { warmup, measure } => {
-                for _ in 0..warmup {
-                    self.step();
-                }
+                self.run_to(warmup, false);
                 self.reset_measurement();
-                for _ in 0..measure {
-                    self.step();
-                }
+                self.run_to(warmup + measure, false);
                 self.result(measure)
             }
             RunMode::Completion { max_cycles } => {
-                let start = self.now;
-                while self.ctl.remaining > 0 && self.now - start < max_cycles {
-                    self.step();
-                }
-                self.result(self.now - start)
+                self.run_to(max_cycles, true);
+                self.result(self.now)
             }
         }
     }
@@ -266,8 +310,8 @@ impl<'a> Machine<'a> {
 mod tests {
     use super::*;
     use crate::config::MachineConfig;
-    use crate::stats::CycleClass;
     use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
+    use proptest::prelude::*;
 
     /// A small synthetic workload: `n` threads, each interleaving compute
     /// with loads over a private array plus a shared region.
@@ -429,16 +473,6 @@ mod tests {
         );
     }
 
-    #[test]
-    #[should_panic(expected = "manual-stepping")]
-    fn shim_machines_refuse_execute() {
-        let cfg = MachineConfig::fat_cmp(1, 1 << 20, 8);
-        let b = bundle(1, 10);
-        // The shim's placeholder mode (0-cycle throughput window) must
-        // not silently "run" and report zeros.
-        Machine::new(cfg, &b, true).execute();
-    }
-
     /// Remote markers must (a) show up in the remote counters, (b) cost
     /// cycles charged to `Other`, and (c) leave every other counter
     /// family alone — a remote-free trace reports all-zero counters.
@@ -508,5 +542,192 @@ mod tests {
         let res = Machine::run(cfg, &b, RunMode::Completion { max_cycles: 1000 });
         assert_eq!(res.instrs, 0);
         assert_eq!(res.units, 0);
+    }
+
+    /// The replay loop before cores could sleep: every core is called on
+    /// every cycle. The oracle the event-driven loop must match exactly.
+    fn per_cycle_reference(cfg: MachineConfig, bundle: &TraceBundle, mode: RunMode) -> SimResult {
+        let mut m = MachineBuilder::from_config(cfg, mode)
+            .build(bundle)
+            .expect("test configs validate");
+        let step = |m: &mut Machine<'_>| {
+            for c in 0..m.cores.len() {
+                let charge = m.cores[c].cycle(
+                    c,
+                    m.now,
+                    &mut m.mem,
+                    &mut m.threads,
+                    &m.bundle.regions,
+                    &mut m.ctl,
+                );
+                if let Some(class) = charge {
+                    m.per_core[c].charge(class, 1);
+                }
+            }
+            m.now += 1;
+        };
+        match mode {
+            RunMode::Throughput { warmup, measure } => {
+                for _ in 0..warmup {
+                    step(&mut m);
+                }
+                m.reset_measurement();
+                for _ in 0..measure {
+                    step(&mut m);
+                }
+                m.result(measure)
+            }
+            RunMode::Completion { max_cycles } => {
+                while m.ctl.remaining > 0 && m.now < max_cycles {
+                    step(&mut m);
+                }
+                let cycles = m.now;
+                m.result(cycles)
+            }
+        }
+    }
+
+    /// One thread that opens with a 4-byte receive, on core 0 of a
+    /// 2-core machine whose link makes that receive gate decode from
+    /// cycle 0 until exactly `wake`. Core 1 has no thread.
+    fn gated_at(cfg: MachineConfig, wake: u64) -> (MachineConfig, TraceBundle) {
+        let mut regions = CodeRegions::new();
+        let r = regions.add("work", 4 << 10, 0.0);
+        let mut tr = Tracer::recording();
+        tr.remote_recv(4);
+        tr.exec(r, 40);
+        tr.unit_end();
+        let mut cfg = cfg;
+        cfg.interconnect = Interconnect {
+            latency_cycles: wake - 1,
+            bytes_per_cycle: 4.0,
+        };
+        assert_eq!(cfg.interconnect.recv_cycles(4), wake);
+        (cfg, TraceBundle::new(regions, vec![tr.finish()]))
+    }
+
+    #[test]
+    fn wake_up_on_the_warmup_end_is_charged_exactly() {
+        for cfg in [
+            MachineConfig::fat_cmp(2, 1 << 20, 8),
+            MachineConfig::lean_cmp(2, 1 << 20, 8),
+        ] {
+            let (cfg, b) = gated_at(cfg, 5_000);
+            let mode = RunMode::Throughput {
+                warmup: 5_000,
+                measure: 3_000,
+            };
+            let res = Machine::run(cfg.clone(), &b, mode);
+            assert_eq!(res.per_core[0].total(), 3_000, "{}", cfg.name);
+            assert_eq!(res.per_core[1].total(), 0, "{}: idle core", cfg.name);
+            assert!(
+                res.instrs > 0,
+                "{}: the thread runs after the gate",
+                cfg.name
+            );
+            assert_eq!(res, per_cycle_reference(cfg, &b, mode));
+        }
+    }
+
+    #[test]
+    fn wake_up_on_the_measure_end_is_charged_exactly() {
+        for cfg in [
+            MachineConfig::fat_cmp(2, 1 << 20, 8),
+            MachineConfig::lean_cmp(2, 1 << 20, 8),
+        ] {
+            // The gate spans the warm-up boundary and ends on the window
+            // end: the whole window is one sleep, charged to Other.
+            let (cfg, b) = gated_at(cfg, 5_000);
+            let mode = RunMode::Throughput {
+                warmup: 2_000,
+                measure: 3_000,
+            };
+            let res = Machine::run(cfg.clone(), &b, mode);
+            assert_eq!(
+                res.per_core[0].get(CycleClass::Other),
+                3_000,
+                "{}",
+                cfg.name
+            );
+            assert_eq!(res.per_core[0].total(), 3_000, "{}", cfg.name);
+            assert_eq!(res.instrs, 0);
+            assert_eq!(res, per_cycle_reference(cfg, &b, mode));
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Sleeping cores and clock jumps are exact: for random workloads
+        /// (stores, fences, dependent loads, remote markers, more threads
+        /// than contexts under a short quantum) on fat, lean and mixed
+        /// machines, in both run modes with random window edges, the
+        /// event-driven loop reproduces the per-cycle loop's result.
+        #[test]
+        fn sleeping_replay_matches_per_cycle_reference(
+            threads in prop::collection::vec((0u64..512, 1u64..16, 0u8..4), 1..7),
+            machine in 0u8..3,
+            slow_link in any::<bool>(),
+            completion in any::<bool>(),
+            window in (500u64..3_000, 1_000u64..6_000),
+            quantum in 300u64..3_000,
+        ) {
+            let mut regions = CodeRegions::new();
+            let r = regions.add("w", 8 << 10, 2.0);
+            let traces = threads
+                .iter()
+                .map(|&(base, n, mix)| {
+                    let mut t = Tracer::recording();
+                    for k in 0..n * 8 {
+                        t.exec(r, 6);
+                        let addr = 0x10000 + (base + k * 7) * 64;
+                        if mix == 3 && k % 3 == 0 {
+                            t.load_dep(addr, 8);
+                        } else {
+                            t.load(addr, 8);
+                        }
+                        if mix >= 1 && k % 4 == 1 {
+                            t.store(0x80000 + (k % 32) * 64, 8);
+                        }
+                        if mix == 1 && k % 8 == 5 {
+                            t.fence();
+                        }
+                        if mix >= 2 && k % 8 == 6 {
+                            t.remote_send(64);
+                            t.remote_recv(200);
+                        }
+                        if k % 8 == 7 {
+                            t.unit_end();
+                        }
+                    }
+                    t.finish()
+                })
+                .collect();
+            let bundle = TraceBundle::new(regions, traces);
+            let mut cfg = match machine {
+                0 => MachineConfig::fat_cmp(2, 1 << 20, 8),
+                1 => MachineConfig::lean_cmp(1, 1 << 20, 8),
+                _ => {
+                    let mut c = MachineConfig::fat_cmp(2, 1 << 20, 8);
+                    c.slots = vec![CoreKind::fat(), CoreKind::lean()];
+                    c
+                }
+            };
+            cfg.quantum = quantum;
+            cfg.switch_penalty = quantum / 8;
+            if slow_link {
+                cfg.interconnect = Interconnect {
+                    latency_cycles: 2_000,
+                    bytes_per_cycle: 0.4,
+                };
+            }
+            let mode = if completion {
+                RunMode::Completion { max_cycles: 400_000 }
+            } else {
+                RunMode::Throughput { warmup: window.0, measure: window.1 }
+            };
+            let fast = Machine::run(cfg.clone(), &bundle, mode);
+            prop_assert_eq!(fast, per_cycle_reference(cfg, &bundle, mode));
+        }
     }
 }

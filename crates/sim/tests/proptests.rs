@@ -2,7 +2,7 @@
 //! model, cycle accounting conserves time, and replay is deterministic.
 
 use dbcmp_sim::cache::Cache;
-use dbcmp_sim::{Machine, MachineConfig, RunMode};
+use dbcmp_sim::{CoreKind, Interconnect, Machine, MachineConfig, RunMode};
 use dbcmp_trace::{CodeRegions, TraceBundle, Tracer};
 use proptest::prelude::*;
 use std::collections::VecDeque;
@@ -67,11 +67,15 @@ proptest! {
 
     /// For any synthetic workload, every measured cycle lands in exactly
     /// one bucket (per-core breakdowns sum to the window) and replay is
-    /// deterministic.
+    /// deterministic — on fat, lean and mixed machines, with and without
+    /// remote markers over a 10GbE link (long sleeps across the window
+    /// edges), in both run modes.
     #[test]
     fn accounting_conserves_cycles_and_is_deterministic(
         seeds in prop::collection::vec((0u64..1024, 1u32..64), 1..8),
-        lean in any::<bool>(),
+        machine in 0u8..3,
+        remote in any::<bool>(),
+        completion in any::<bool>(),
     ) {
         let mut regions = CodeRegions::new();
         let r = regions.add("w", 8 << 10, 1.0);
@@ -85,29 +89,48 @@ proptest! {
                     if k % 16 == 7 {
                         t.store(0x80000 + (k % 32) * 64, 8);
                     }
+                    if remote && k % 64 == 30 {
+                        t.remote_send(96);
+                        t.remote_recv(512);
+                    }
                 }
                 t.unit_end();
                 t.finish()
             })
             .collect();
         let bundle = TraceBundle::new(regions, threads);
-        let cfg = if lean {
-            MachineConfig::lean_cmp(2, 1 << 20, 8)
-        } else {
-            MachineConfig::fat_cmp(2, 1 << 20, 8)
+        let mut cfg = match machine {
+            0 => MachineConfig::fat_cmp(2, 1 << 20, 8),
+            1 => MachineConfig::lean_cmp(2, 1 << 20, 8),
+            _ => {
+                let mut c = MachineConfig::fat_cmp(2, 1 << 20, 8);
+                c.slots = vec![CoreKind::fat(), CoreKind::lean()];
+                c
+            }
         };
-        let mode = RunMode::Throughput { warmup: 1000, measure: 5000 };
+        cfg.interconnect = Interconnect::network_10g();
+        let mode = if completion {
+            RunMode::Completion { max_cycles: 20_000_000 }
+        } else {
+            RunMode::Throughput { warmup: 1000, measure: 5000 }
+        };
         let a = Machine::run(cfg.clone(), &bundle, mode);
         let b = Machine::run(cfg, &bundle, mode);
 
-        // Conservation: every active core's breakdown sums to the window.
-        for core in &a.per_core {
-            let total = core.total();
-            prop_assert!(total == 0 || total == 5000, "core accounted {total} of 5000");
+        // Conservation. Throughput: every active core's breakdown sums to
+        // the window. Completion: a core is charged from cycle 0 until it
+        // runs out of work, and the core that finishes last is charged
+        // for every cycle of the run.
+        let totals: Vec<u64> = a.per_core.iter().map(|c| c.total()).collect();
+        if completion {
+            prop_assert!(totals.iter().all(|&t| t <= a.cycles), "{totals:?} > {}", a.cycles);
+            prop_assert_eq!(totals.iter().max().copied(), Some(a.cycles));
+        } else {
+            for total in totals {
+                prop_assert!(total == 0 || total == 5000, "core accounted {total} of 5000");
+            }
         }
         // Determinism.
-        prop_assert_eq!(a.instrs, b.instrs);
-        prop_assert_eq!(a.breakdown, b.breakdown);
-        prop_assert_eq!(a.mem, b.mem);
+        prop_assert_eq!(a, b);
     }
 }

@@ -41,6 +41,17 @@ pub struct CodeRegion {
     pub footprint: u64,
     /// Branch mispredictions per 1000 instructions executed in this region.
     pub mispred_per_kinstr: f64,
+    /// `mispred_per_kinstr / 1000.0`, divided once here rather than per
+    /// replayed instruction.
+    mispred_per_instr: f64,
+}
+
+impl CodeRegion {
+    /// Branch mispredictions per instruction, the rate replay accumulates.
+    #[inline]
+    pub fn mispred_per_instr(&self) -> f64 {
+        self.mispred_per_instr
+    }
 }
 
 /// Registry of code regions for one captured system. Region IDs are dense
@@ -78,6 +89,7 @@ impl CodeRegions {
             base,
             footprint,
             mispred_per_kinstr,
+            mispred_per_instr: mispred_per_kinstr / 1000.0,
         });
         id
     }

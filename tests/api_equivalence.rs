@@ -19,10 +19,12 @@
 
 use dbcmp::core::experiment::{RunSpec, Sweep};
 use dbcmp::core::machines::{asym_cmp, cmp_for, fc_cmp, lc_cmp, smp_baseline, L2Spec};
+use dbcmp::core::network::{network_capture, network_chip};
 use dbcmp::core::taxonomy::{Camp, WorkloadKind};
 use dbcmp::core::workload::{CapturedWorkload, FigScale};
 use dbcmp::sim::{
-    CacheTopology, LevelSpec, Machine, MachineBuilder, MachineConfig, RunMode, SharedBy, SimResult,
+    CacheTopology, Interconnect, LevelSpec, Machine, MachineBuilder, MachineConfig, RunMode,
+    SharedBy, SimResult,
 };
 use dbcmp::trace::TraceBundle;
 
@@ -50,18 +52,26 @@ fn builder_result(cfg: MachineConfig, w: &CapturedWorkload, mode: RunMode) -> Si
         .execute()
 }
 
-/// Golden anchor against the *actual* pre-redesign simulator: these
-/// numbers were dumped from the seed code at commit `5227f31` (the tree
-/// before the trait/builder refactor) running `Machine::run` on the
+/// Golden anchor against the *actual* pre-redesign simulator: the first
+/// four points were dumped from the seed code at commit `5227f31` (the
+/// tree before the trait/builder refactor) running `Machine::run` on the
 /// identical deterministic capture. They pin the physics — if the
 /// refactor or any later change shifts a single cycle, this fails. The
 /// shim-vs-builder tests below cannot catch such a drift on their own,
 /// because `Machine::run` is now itself a shim over the same assembly
 /// path.
+///
+/// The remaining points were dumped from the cycle-by-cycle replay loop
+/// at commit `faa943c`, before idle cores were put to sleep. They pin
+/// the paths the sleeping loop skips: SMP coherence stalls, long
+/// interconnect gates (a 2-instance distributed-join capture under NUMA
+/// and 10GbE), and OS quantum expiry while a core waits (16 threads on
+/// one core with a 20 k-cycle quantum, on both camps).
 #[test]
 fn golden_anchor_matches_pre_redesign_simulator() {
-    struct Golden {
+    struct Golden<'b> {
         cfg: MachineConfig,
+        bundle: &'b TraceBundle,
         mode: RunMode,
         cycles: u64,
         instrs: u64,
@@ -70,6 +80,8 @@ fn golden_anchor_matches_pre_redesign_simulator() {
         l1d_misses: u64,
         l2_hits: u64,
         mem_accesses: u64,
+        coherence_transfers: u64,
+        remote_stall_cycles: u64,
         avg_unit_cycles: f64,
     }
     let thr = RunMode::Throughput {
@@ -79,11 +91,24 @@ fn golden_anchor_matches_pre_redesign_simulator() {
     let cmp = RunMode::Completion {
         max_cycles: 400_000_000,
     };
+    let scale = FigScale::quick();
+    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
+    let net = network_capture(&scale, 2);
+    let linked = |link: Interconnect| {
+        let mut cfg = network_chip();
+        cfg.interconnect = link;
+        cfg
+    };
+    let short_quantum = |mut cfg: MachineConfig| {
+        cfg.quantum = 20_000;
+        cfg
+    };
     let fc = fc_cmp(2, 2 << 20, L2Spec::Cacti);
     let lc = lc_cmp(2, 2 << 20, L2Spec::Cacti);
     let goldens = [
         Golden {
             cfg: fc.clone(),
+            bundle: &w.bundle,
             mode: thr,
             cycles: 200_000,
             instrs: 242_984,
@@ -92,10 +117,13 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             l1d_misses: 803,
             l2_hits: 218,
             mem_accesses: 581,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
             avg_unit_cycles: 7_614.862_068_965_517,
         },
         Golden {
             cfg: fc,
+            bundle: &w.bundle,
             mode: cmp,
             cycles: 1_044_119,
             instrs: 1_790_805,
@@ -104,10 +132,13 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             l1d_misses: 10_982,
             l2_hits: 5_236,
             mem_accesses: 5_568,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
             avg_unit_cycles: 83_477.312_5,
         },
         Golden {
             cfg: lc.clone(),
+            bundle: &w.bundle,
             mode: thr,
             cycles: 200_000,
             instrs: 725_574,
@@ -116,10 +147,13 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             l1d_misses: 4_348,
             l2_hits: 2_813,
             mem_accesses: 1_357,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
             avg_unit_cycles: 16_980.822_580_645_163,
         },
         Golden {
             cfg: lc,
+            bundle: &w.bundle,
             mode: cmp,
             cycles: 702_230,
             instrs: 1_790_879,
@@ -128,14 +162,134 @@ fn golden_anchor_matches_pre_redesign_simulator() {
             l1d_misses: 13_111,
             l2_hits: 6_981,
             mem_accesses: 5_568,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
             avg_unit_cycles: 45_846.382_812_5,
         },
+        Golden {
+            cfg: smp_baseline(2, 2 << 20, Camp::Fat),
+            bundle: &w.bundle,
+            mode: thr,
+            cycles: 200_000,
+            instrs: 210_071,
+            units: 23,
+            breakdown: [105_785, 105_434, 0, 274, 180_297, 3_314, 4_896],
+            l1d_misses: 757,
+            l2_hits: 157,
+            mem_accesses: 589,
+            coherence_transfers: 19,
+            remote_stall_cycles: 0,
+            avg_unit_cycles: 8_892.347_826_086_956,
+        },
+        Golden {
+            cfg: smp_baseline(2, 2 << 20, Camp::Fat),
+            bundle: &w.bundle,
+            mode: cmp,
+            cycles: 1_233_526,
+            instrs: 1_790_794,
+            units: 128,
+            breakdown: [900_219, 185_954, 5_664, 3_304, 1_019_467, 256_104, 30_773],
+            l1d_misses: 10_926,
+            l2_hits: 4_259,
+            mem_accesses: 5_810,
+            coherence_transfers: 1_456,
+            remote_stall_cycles: 0,
+            avg_unit_cycles: 102_645.5,
+        },
+        Golden {
+            cfg: short_quantum(fc_cmp(1, 2 << 20, L2Spec::Cacti)),
+            bundle: &w.bundle,
+            mode: thr,
+            cycles: 200_000,
+            instrs: 98_629,
+            units: 8,
+            breakdown: [49_605, 4_550, 0, 203, 115_126, 0, 30_516],
+            l1d_misses: 874,
+            l2_hits: 143,
+            mem_accesses: 731,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
+            avg_unit_cycles: 110_416.25,
+        },
+        Golden {
+            cfg: short_quantum(lc_cmp(1, 2 << 20, L2Spec::Cacti)),
+            bundle: &w.bundle,
+            mode: thr,
+            cycles: 200_000,
+            instrs: 314_893,
+            units: 30,
+            breakdown: [158_611, 9_773, 0, 497, 24_530, 0, 6_589],
+            l1d_misses: 2_489,
+            l2_hits: 860,
+            mem_accesses: 1_629,
+            coherence_transfers: 0,
+            remote_stall_cycles: 0,
+            avg_unit_cycles: 66_342.5,
+        },
+        Golden {
+            cfg: linked(Interconnect::numa_link()),
+            bundle: &net.bundles[0],
+            mode: thr,
+            cycles: 200_000,
+            instrs: 1_039_332,
+            units: 12,
+            breakdown: [518_447, 24_284, 746, 2_248, 203_376, 0, 50_899],
+            l1d_misses: 26_267,
+            l2_hits: 25_477,
+            mem_accesses: 790,
+            coherence_transfers: 0,
+            remote_stall_cycles: 49_676,
+            avg_unit_cycles: 91_190.5,
+        },
+        Golden {
+            cfg: linked(Interconnect::numa_link()),
+            bundle: &net.bundles[1],
+            mode: thr,
+            cycles: 200_000,
+            instrs: 1_346_817,
+            units: 15,
+            breakdown: [665_877, 19_732, 717, 1_149, 45_353, 0, 67_172],
+            l1d_misses: 27_748,
+            l2_hits: 26_865,
+            mem_accesses: 883,
+            coherence_transfers: 0,
+            remote_stall_cycles: 66_554,
+            avg_unit_cycles: 76_118.333_333_333_33,
+        },
+        Golden {
+            cfg: linked(Interconnect::network_10g()),
+            bundle: &net.bundles[0],
+            mode: thr,
+            cycles: 200_000,
+            instrs: 357_350,
+            units: 4,
+            breakdown: [179_121, 31_959, 1_179, 415, 265_992, 0, 321_334],
+            l1d_misses: 9_120,
+            l2_hits: 6_751,
+            mem_accesses: 2_369,
+            coherence_transfers: 0,
+            remote_stall_cycles: 267_897,
+            avg_unit_cycles: 268_790.0,
+        },
+        Golden {
+            cfg: linked(Interconnect::network_10g()),
+            bundle: &net.bundles[1],
+            mode: thr,
+            cycles: 200_000,
+            instrs: 406_741,
+            units: 4,
+            breakdown: [201_347, 34_681, 718, 129, 144_587, 0, 418_538],
+            l1d_misses: 8_649,
+            l2_hits: 7_086,
+            mem_accesses: 1_563,
+            coherence_transfers: 0,
+            remote_stall_cycles: 415_776,
+            avg_unit_cycles: 275_689.5,
+        },
     ];
-    let scale = FigScale::quick();
-    let w = CapturedWorkload::saturated(WorkloadKind::Oltp, &scale);
     for g in goldens {
         let name = g.cfg.name.clone();
-        let r = Machine::run(g.cfg, &w.bundle, g.mode);
+        let r = Machine::run(g.cfg, g.bundle, g.mode);
         assert_eq!(r.cycles, g.cycles, "{name} {:?}: cycles", g.mode);
         assert_eq!(r.instrs, g.instrs, "{name} {:?}: instrs", g.mode);
         assert_eq!(r.units, g.units, "{name} {:?}: units", g.mode);
@@ -147,6 +301,14 @@ fn golden_anchor_matches_pre_redesign_simulator() {
         assert_eq!(r.mem.l1d_misses, g.l1d_misses, "{name}: l1d misses");
         assert_eq!(r.mem.l2_hits, g.l2_hits, "{name}: l2 hits");
         assert_eq!(r.mem.mem_accesses, g.mem_accesses, "{name}: mem accesses");
+        assert_eq!(
+            r.mem.coherence_transfers, g.coherence_transfers,
+            "{name}: coherence transfers"
+        );
+        assert_eq!(
+            r.remote.stall_cycles, g.remote_stall_cycles,
+            "{name}: remote stall cycles"
+        );
         let avg = r.avg_unit_cycles.expect("units completed");
         assert!(
             (avg - g.avg_unit_cycles).abs() < 1e-9,
