@@ -66,6 +66,19 @@ pub struct SweepPoint {
     pub mode: RunMode,
 }
 
+impl SweepPoint {
+    /// Estimated replay cost, for dispatch order: hardware contexts ×
+    /// simulated cycles (the warm-up plus measure window, or the
+    /// completion bound).
+    pub fn cost(&self) -> u128 {
+        let cycles = match self.mode {
+            RunMode::Throughput { warmup, measure } => warmup.saturating_add(measure),
+            RunMode::Completion { max_cycles } => max_cycles,
+        };
+        self.cfg.total_contexts() as u128 * cycles as u128
+    }
+}
+
 /// A labeled list of machine-config points evaluated against shared
 /// trace bundles, in parallel or sequentially, with results always in
 /// input order.
@@ -149,7 +162,8 @@ impl Sweep {
 
     /// Run every point against its own bundle (`bundles[i]` pairs with
     /// point `i` — client-count sweeps replay growing subsets of one
-    /// capture), in parallel, results in input order.
+    /// capture), in parallel, results in input order. Points are
+    /// dispatched costliest first ([`SweepPoint::cost`]).
     pub fn run_each(&self, bundles: &[&TraceBundle]) -> Vec<SimResult> {
         self.run_each_with_workers(bundles, self.default_workers())
     }
@@ -168,19 +182,20 @@ impl Sweep {
         if workers <= 1 {
             return self.run_each_sequential(bundles);
         }
+        // Costliest points first, so the longest one does not start last
+        // and leave the other workers idle. The sort is stable: equal-cost
+        // points keep their input order.
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(self.points[i].cost()));
         let next = AtomicUsize::new(0);
         let mut results: Vec<Option<SimResult>> = (0..n).map(|_| None).collect();
         std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|_| {
-                    let next = &next;
+                    let (next, order) = (&next, &order);
                     s.spawn(move || {
                         let mut out = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= n {
-                                break;
-                            }
+                        while let Some(&i) = order.get(next.fetch_add(1, Ordering::Relaxed)) {
                             out.push((i, run_point(&self.points[i], bundles[i])));
                         }
                         out
@@ -285,6 +300,32 @@ mod tests {
         let c = run_completion(cfg, &w.bundle, spec);
         assert!(c.units >= 1, "query must complete");
         assert!(c.avg_unit_cycles.unwrap() > 0.0);
+    }
+
+    /// Dispatch cost is hardware contexts × simulated cycles: a 4-core
+    /// lean chip (16 contexts) outweighs a 4-core fat chip, and a longer
+    /// window outweighs a shorter one.
+    #[test]
+    fn sweep_point_cost_counts_contexts_and_cycles() {
+        let spec = RunSpec {
+            warmup: 1_000,
+            measure: 9_000,
+            max_cycles: 50_000,
+        };
+        let sweep = Sweep::new()
+            .point("fat", fc_cmp(4, 16 << 20, L2Spec::Cacti), spec.throughput())
+            .point(
+                "lean",
+                lc_cmp(4, 16 << 20, L2Spec::Cacti),
+                spec.throughput(),
+            )
+            .point(
+                "fat-long",
+                fc_cmp(4, 16 << 20, L2Spec::Cacti),
+                spec.completion(),
+            );
+        let costs: Vec<u128> = sweep.points().iter().map(SweepPoint::cost).collect();
+        assert_eq!(costs, [4 * 10_000, 16 * 10_000, 4 * 50_000]);
     }
 
     #[test]

@@ -7,6 +7,11 @@
 //! cores' L1s hold this line — up to 16 cores) and ignored by L1s.
 
 /// One tag entry.
+/// Cores a directory entry can track: `sharers` holds one bit per core
+/// number. Machines with more cores cannot have a shared or island level
+/// (`ConfigError::TooManyDirectoryCores`).
+pub const DIRECTORY_CORES: usize = u16::BITS as usize;
+
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Entry {
     /// Line number (addr >> 6) + 1; 0 = invalid.
@@ -15,7 +20,7 @@ pub struct Entry {
     lru: u64,
     pub dirty: bool,
     /// For a shared L2 acting as directory: bit i set ⇒ core i's L1 may
-    /// hold the line. For L1s: unused.
+    /// hold the line ([`DIRECTORY_CORES`] bits). For L1s: unused.
     pub sharers: u16,
     /// Directory: core that holds the line modified (valid when
     /// `dirty_in_l1`). 0xFF = none.

@@ -16,6 +16,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
+use crate::cache::DIRECTORY_CORES;
 use crate::interconnect::Interconnect;
 
 /// A machine description that cannot be simulated. Returned by
@@ -67,6 +68,10 @@ pub enum ConfigError {
     /// An interconnect whose bandwidth is zero, negative or NaN: a dead
     /// link would read as cheaper than a live one, and NaN as free.
     BadInterconnect,
+    /// A shared or island level on a machine with more cores than its
+    /// directory entries can name ([`DIRECTORY_CORES`]): the sharer bits
+    /// of the extra cores would alias lower cores.
+    TooManyDirectoryCores { level: usize, n_cores: usize },
 }
 
 impl fmt::Display for ConfigError {
@@ -123,6 +128,11 @@ impl fmt::Display for ConfigError {
             ConfigError::BadInterconnect => write!(
                 f,
                 "interconnect bandwidth must be a positive number of bytes per cycle"
+            ),
+            ConfigError::TooManyDirectoryCores { level, n_cores } => write!(
+                f,
+                "cache level {level}: a shared or island level tracks at most \
+                 {DIRECTORY_CORES} cores, the machine has {n_cores}"
             ),
         }
     }
@@ -353,6 +363,9 @@ impl CacheTopology {
             }
             if g.size < prev_size {
                 return Err(ConfigError::ShrinkingLevel { level });
+            }
+            if cluster > 1 && n_cores > DIRECTORY_CORES {
+                return Err(ConfigError::TooManyDirectoryCores { level, n_cores });
             }
             prev_cluster = cluster;
             prev_size = g.size;
@@ -738,6 +751,42 @@ mod tests {
         );
         // A well-formed two-level island hierarchy passes.
         assert_eq!(CacheTopology::islands(2, g).with_l3(l3).validate(4), Ok(()));
+    }
+
+    /// Directory sharer sets are 16-bit masks over core numbers: a shared
+    /// or island level on a 17-core machine is rejected instead of
+    /// letting core 16 alias core 0; private levels carry no directory.
+    #[test]
+    fn directory_levels_reject_more_cores_than_sharer_bits() {
+        assert_eq!(DIRECTORY_CORES, 16);
+        let too_many = DIRECTORY_CORES + 1;
+        assert_eq!(MachineConfig::fat_cmp(16, 1 << 20, 10).validate(), Ok(()));
+        assert_eq!(
+            MachineConfig::fat_cmp(too_many, 1 << 20, 10).validate(),
+            Err(ConfigError::TooManyDirectoryCores {
+                level: 0,
+                n_cores: too_many
+            })
+        );
+        let g = CacheGeom::new(4 << 20, 16, 10);
+        let l3 = CacheGeom::new(16 << 20, 16, 20);
+        assert_eq!(
+            CacheTopology::private_l2(g).with_l3(l3).validate(18),
+            Err(ConfigError::TooManyDirectoryCores {
+                level: 1,
+                n_cores: 18
+            })
+        );
+        assert_eq!(
+            CacheTopology::islands(2, g).validate(18),
+            Err(ConfigError::TooManyDirectoryCores {
+                level: 0,
+                n_cores: 18
+            })
+        );
+        assert_eq!(CacheTopology::private_l2(g).validate(18), Ok(()));
+        let err = MachineConfig::fat_cmp(too_many, 1 << 20, 10).validate();
+        assert!(err.unwrap_err().to_string().contains("at most 16 cores"));
     }
 
     #[test]

@@ -6,10 +6,11 @@
 //! Porobic et al. and Schall & Härder) and new core models plug in
 //! without touching the cycle loop.
 //!
-//! Replay is event-driven: after a stall cycle the machine asks the core
-//! whether its coming cycles are pure no-ops ([`Core::sleep`]) and, if
-//! so, stops calling it until its wake-up cycle, charging the skipped
-//! cycles in bulk.
+//! Replay is event-driven: after every charged cycle the machine asks
+//! the core how far it can run on its own ([`Core::span`]). The core
+//! applies the coming cycles that make no memory-system call and charge
+//! one class in a single step, and the machine does not call it again
+//! until the span's end, charging the span's cycles in bulk.
 
 use dbcmp_trace::region::CodeRegions;
 
@@ -37,15 +38,27 @@ pub trait Core {
         ctl: &mut MachineCtl,
     ) -> Option<CycleClass>;
 
-    /// Asked after [`cycle`](Self::cycle) at `now` charged a stall class:
-    /// are the coming cycles pure no-ops — no memory-system call, no
-    /// trace read, no state change beyond per-cycle bookkeeping? If so,
-    /// return `(wake, class)`: every cycle in `now + 1 .. wake` would
-    /// charge `class`, and `wake` is the first cycle that must run. The
-    /// core applies the span's bookkeeping before returning, so the
-    /// machine does not call it again until `wake`. `None` means the next
-    /// cycle must run (always exact, never skips).
-    fn sleep(&mut self, now: u64, threads: &[ThreadState<'_>]) -> Option<(u64, CycleClass)>;
+    /// Asked after every [`cycle`](Self::cycle) at `now` that charged a
+    /// class: run the coming cycles that need nothing from outside the
+    /// core. A span is a run of cycles `now + 1 .. wake`, all charged the
+    /// same `class`, none of which calls the memory system or reads a
+    /// trace, and none of which retires work for a thread that has
+    /// finished. The core applies the span's effects (retirement,
+    /// decode inside a fetched I-line, fetch offsets, misprediction
+    /// accrual, quantum and round-robin bookkeeping, `ctl.instrs`)
+    /// before it returns `(wake, class)`; the machine then charges the
+    /// span in bulk and does not call the core again until `wake`, the
+    /// first cycle that must run. `wake <= end`, so no span crosses a
+    /// window edge. `None` means the next cycle must run. A span of
+    /// pure no-op cycles (a stalled core) is the degenerate case.
+    fn span(
+        &mut self,
+        now: u64,
+        end: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> Option<(u64, CycleClass)>;
 
     /// The core's hardware contexts (thread slots), in binding order.
     fn contexts(&self) -> &[CtxBase];
@@ -62,4 +75,29 @@ pub trait Core {
     fn reset_counters(&mut self) {
         *self.retired_mut() = 0;
     }
+}
+
+/// Drive one core alone as the machine does: call `cycle`, then let the
+/// core run its span, until it reports no work. Returns the cycle at
+/// which it did and the per-class breakdown (test support for the core
+/// models' pinned span tests).
+#[cfg(test)]
+pub(crate) fn drive_alone(
+    core: &mut dyn Core,
+    mem: &mut MemSys,
+    threads: &mut [ThreadState<'_>],
+    regions: &CodeRegions,
+    ctl: &mut MachineCtl,
+) -> (u64, crate::stats::Breakdown) {
+    let mut b = crate::stats::Breakdown::default();
+    let mut now = 0;
+    while let Some(class) = core.cycle(0, now, mem, threads, regions, ctl) {
+        b.charge(class, 1);
+        now += 1;
+        if let Some((wake, class)) = core.span(now - 1, u64::MAX, threads, regions, ctl) {
+            b.charge(class, wake - now);
+            now = wake;
+        }
+    }
+    (now, b)
 }

@@ -160,6 +160,16 @@ impl<'a> ThreadState<'a> {
         (64 - (self.fetch_addr(region, regions) & 63)) / INSTR_BYTES
     }
 
+    /// [`line_instrs_left`](Self::line_instrs_left) when the current
+    /// fetch address lies in the line already in the fetch stage, so
+    /// decoding from it makes no instruction access; `None` when the
+    /// line must be fetched first.
+    #[inline]
+    pub fn fetched_line_left(&self, region: u16, regions: &CodeRegions) -> Option<u64> {
+        let addr = self.fetch_addr(region, regions);
+        (addr >> 6 == self.last_iline).then_some((64 - (addr & 63)) / INSTR_BYTES)
+    }
+
     /// Advance the fetch cursor by `n` instructions of the current
     /// I-line, wrapping at the region's footprint. Footprints end on a
     /// line boundary, so only the last of the `n` can reach it.

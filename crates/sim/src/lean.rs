@@ -75,7 +75,6 @@ impl Core for LeanCore {
         regions: &CodeRegions,
         ctl: &mut MachineCtl,
     ) -> Option<CycleClass> {
-        let n = self.ctxs.len();
         // Retire finished threads and schedule queued ones.
         let mut any_thread = false;
         for ctx in &mut self.ctxs {
@@ -92,35 +91,10 @@ impl Core for LeanCore {
             return None;
         }
 
-        // Pick the next runnable context, round-robin.
-        // Wrapped by compare rather than `%`, which would divide per step.
-        let mut chosen = None;
-        let mut i = self.rr;
-        for _ in 0..n {
-            if self.ctxs[i].runnable(now) {
-                chosen = Some(i);
-                break;
-            }
-            i += 1;
-            if i == n {
-                i = 0;
-            }
-        }
-        self.rr += 1;
-        if self.rr == n {
-            self.rr = 0;
-        }
-
+        let chosen = self.pick(now);
+        self.advance_rr(1);
         let Some(i) = chosen else {
-            // All contexts blocked: charge the longest-waiting one.
-            let cls = self
-                .ctxs
-                .iter()
-                .filter(|c| c.thread.is_some() && c.blocked_until > now)
-                .min_by_key(|c| c.blocked_since)
-                .map(|c| c.blocked_class)
-                .unwrap_or(CycleClass::Other);
-            return Some(cls);
+            return Some(self.stalled_class(now));
         };
 
         // OS quantum.
@@ -155,35 +129,160 @@ impl Core for LeanCore {
         }
     }
 
-    /// Idle while every bound context is blocked, no bound thread is
-    /// finished and no unbound context has threads queued: until the
-    /// earliest unblock, each cycle charges the longest-blocked context
-    /// (the first with the smallest `blocked_since`, as `cycle` picks it).
-    /// The span's only bookkeeping is the round-robin pointer.
-    fn sleep(&mut self, now: u64, threads: &[ThreadState<'_>]) -> Option<(u64, CycleClass)> {
-        let next = now + 1;
-        let mut wake = u64::MAX;
-        let mut oldest: Option<&CtxBase> = None;
+    /// Needs every bound thread live and no unbound context with threads
+    /// queued, so scheduling is a no-op. Then each coming cycle either
+    /// finds every bound context blocked (an idle stretch, run in one
+    /// step up to the earliest unblock, charged to the longest-blocked
+    /// context), or picks a context that is quiet: its quantum does not
+    /// expire, nothing is held, and its exec run has `width`
+    /// instructions left in the fetched I-line. A quiet cycle issues
+    /// them through the same code as `cycle` and is charged to Compute.
+    fn span(
+        &mut self,
+        now: u64,
+        end: u64,
+        threads: &mut [ThreadState<'_>],
+        regions: &CodeRegions,
+        ctl: &mut MachineCtl,
+    ) -> Option<(u64, CycleClass)> {
         for ctx in &self.ctxs {
             match ctx.thread {
-                Some(t) => {
-                    if threads[t].done || ctx.blocked_until <= next {
-                        return None;
-                    }
-                    wake = wake.min(ctx.blocked_until);
-                    if oldest.is_none_or(|o| ctx.blocked_since < o.blocked_since) {
-                        oldest = Some(ctx);
-                    }
-                }
+                Some(t) if threads[t].done => return None,
                 None if !ctx.run_q.is_empty() => return None,
-                None => {}
+                _ => {}
             }
         }
-        let class = oldest?.blocked_class;
-        let n = self.ctxs.len() as u64;
-        self.rr = ((self.rr as u64 + (wake - next) % n) % n) as usize;
-        Some((wake, class))
+        let width = self.width as u64;
+        let mut at = now + 1;
+        let mut charged: Option<CycleClass> = None;
+        while at < end {
+            let Some(i) = self.pick(at) else {
+                // Every bound context stays blocked until the earliest
+                // unblock, so the charged context does not change.
+                let class = self.stalled_class(at);
+                let wake = self
+                    .ctxs
+                    .iter()
+                    .filter(|c| c.thread.is_some())
+                    .map(|c| c.blocked_until.min(end))
+                    .min();
+                let Some(wake) = wake.filter(|_| charged.is_none_or(|s| s == class)) else {
+                    break;
+                };
+                self.advance_rr(wake - at);
+                charged = Some(class);
+                at = wake;
+                continue;
+            };
+            if charged.is_some_and(|s| s != CycleClass::Compute) {
+                break;
+            }
+            let ctx = &mut self.ctxs[i];
+            if ctx.quantum_left == 0 && !ctx.run_q.is_empty() {
+                break; // the quantum expires
+            }
+            let Some(t) = ctx.thread else { break };
+            let th = &mut threads[t];
+            if th.pending_store.is_some() || th.pending_fence {
+                break;
+            }
+            let Some((region, left)) = th.cur_exec else {
+                break; // the next event is read from the trace
+            };
+            let in_line = th.fetched_line_left(region, regions).unwrap_or(0);
+            if width > in_line.min(left as u64) {
+                break; // issue would fetch a new line or read the trace
+            }
+            ctx.quantum_left = ctx.quantum_left.saturating_sub(1);
+            ctx.drain_stores(at);
+            let mut issued = 0;
+            while issued < self.width {
+                issued += 1;
+                if issue_exec(ctx, th, regions, at, self.pipeline_depth) {
+                    break;
+                }
+            }
+            self.retired += issued as u64;
+            ctl.instrs += issued as u64;
+            self.advance_rr(1);
+            charged = Some(CycleClass::Compute);
+            at += 1;
+        }
+        charged.map(|class| (at, class))
     }
+}
+
+impl LeanCore {
+    /// The first runnable context at `now`, round-robin from the pointer.
+    /// Wrapped by compare rather than `%`, which would divide per step.
+    fn pick(&self, now: u64) -> Option<usize> {
+        let n = self.ctxs.len();
+        let mut i = self.rr;
+        for _ in 0..n {
+            if self.ctxs[i].runnable(now) {
+                return Some(i);
+            }
+            i += 1;
+            if i == n {
+                i = 0;
+            }
+        }
+        None
+    }
+
+    /// Advance the round-robin pointer by `cycles` picks.
+    fn advance_rr(&mut self, cycles: u64) {
+        let n = self.ctxs.len();
+        self.rr += if cycles == 1 {
+            1
+        } else {
+            (cycles % n as u64) as usize
+        };
+        if self.rr >= n {
+            self.rr -= n;
+        }
+    }
+
+    /// The class of a cycle in which no context is runnable: the
+    /// longest-blocked context's (the first with the smallest
+    /// `blocked_since`).
+    fn stalled_class(&self, now: u64) -> CycleClass {
+        self.ctxs
+            .iter()
+            .filter(|c| c.thread.is_some() && c.blocked_until > now)
+            .min_by_key(|c| c.blocked_since)
+            .map(|c| c.blocked_class)
+            .unwrap_or(CycleClass::Other)
+    }
+}
+
+/// Issue one instruction of the thread's current exec run from the
+/// fetched I-line (the caller has done the fetch check). Returns `true`
+/// when it mispredicts: the context then blocks for the pipeline depth.
+#[inline]
+fn issue_exec(
+    ctx: &mut CtxBase,
+    th: &mut ThreadState<'_>,
+    regions: &CodeRegions,
+    now: u64,
+    pipeline_depth: u64,
+) -> bool {
+    let Some((region, left)) = th.cur_exec else {
+        return false;
+    };
+    th.advance_instrs(region, regions, 1);
+    th.cur_exec = if left > 1 {
+        Some((region, left - 1))
+    } else {
+        None
+    };
+    th.mispred_acc += regions.get(region).mispred_per_instr();
+    if th.mispred_acc >= 1.0 {
+        th.mispred_acc -= 1.0;
+        ctx.block(now + pipeline_depth, CycleClass::Other, now);
+        return true;
+    }
+    false
 }
 
 /// Issue up to `width` instructions from one context; returns
@@ -251,24 +350,14 @@ fn issue_from(
             }
         }
         // 3. Continue the current exec run.
-        if let Some((region, left)) = th.cur_exec {
+        if let Some((region, _)) = th.cur_exec {
             if let Some((ready, class)) = fetch_check(th, region, regions, mem, core, now) {
                 ctx.block(ready, class, now);
                 break;
             }
-            th.advance_instrs(region, regions, 1);
-            th.cur_exec = if left > 1 {
-                Some((region, left - 1))
-            } else {
-                None
-            };
             issued += 1;
             progress += 1;
-            // Branch misprediction charge.
-            th.mispred_acc += regions.get(region).mispred_per_instr();
-            if th.mispred_acc >= 1.0 {
-                th.mispred_acc -= 1.0;
-                ctx.block(now + pipeline_depth, CycleClass::Other, now);
+            if issue_exec(ctx, th, regions, now, pipeline_depth) {
                 break;
             }
             continue;
@@ -473,6 +562,63 @@ mod tests {
             .cycle(0, 1, &mut mem, &mut threads, &regions, &mut ctl)
             .unwrap();
         assert_eq!(c1, CycleClass::DStallMem);
+    }
+
+    /// Three threads on two contexts (one queued) under a 150-cycle
+    /// quantum, each alternating exec runs that cross several I-lines of
+    /// a 1 KB and a 256 B region with loads and stores: spans run
+    /// through line ends, redirects and round-robin turns. Pinned to the
+    /// cycle counts, breakdowns and retired instructions of the
+    /// per-cycle loop before spans (commit `80032c4`).
+    #[test]
+    fn spans_match_per_cycle_replay() {
+        let expected = [
+            (0.0, 7_514, [4_448, 14, 800, 0, 2_079, 0, 173], 8_895),
+            (30.0, 8_349, [4_512, 9, 800, 0, 2_236, 0, 792], 8_895),
+            (150.0, 11_302, [4_788, 9, 790, 0, 2_503, 0, 3_212], 8_895),
+        ];
+        for (mispred, cycles, breakdown, instrs) in expected {
+            let mut cfg = MachineConfig::lean_cmp(1, 1 << 20, 10);
+            cfg.quantum = 150;
+            cfg.switch_penalty = 10;
+            let mut regions = CodeRegions::new();
+            let r = regions.add("hot", 1024, mispred);
+            let s = regions.add("cold", 256, mispred / 3.0);
+            let traces: Vec<_> = (0..3u64)
+                .map(|t| {
+                    let mut tr = Tracer::recording();
+                    for k in 0..30u64 {
+                        tr.exec(r, (40 + (k % 7) * 9 + t * 5) as u32);
+                        tr.load(0x4_0000 + t * 0x1000 + (k % 4) * 64, 8);
+                        tr.exec(s, 27);
+                        if k % 3 == 0 {
+                            tr.store(0x9_0000 + (k % 8) * 64, 8);
+                        }
+                    }
+                    tr.finish()
+                })
+                .collect();
+            let mut threads: Vec<_> = traces
+                .iter()
+                .map(|tr| ThreadState::new(tr, &regions, false))
+                .collect();
+            let mut mem = MemSys::new(&cfg);
+            let mut core = LeanCore::new(&cfg, 2, 2);
+            core.ctxs[0].thread = Some(0);
+            core.ctxs[1].thread = Some(1);
+            core.ctxs[0].run_q.push_back(2);
+            let mut ctl = MachineCtl {
+                remaining: 3,
+                ..Default::default()
+            };
+            let (now, b) =
+                crate::core::drive_alone(&mut core, &mut mem, &mut threads, &regions, &mut ctl);
+            assert_eq!(
+                (now, b.cycles, ctl.instrs),
+                (cycles, breakdown, instrs),
+                "mispred {mispred}"
+            );
+        }
     }
 
     #[test]

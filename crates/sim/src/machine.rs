@@ -11,13 +11,15 @@
 //! * [`RunMode::Completion`] — every trace runs once to completion;
 //!   response time comes from per-unit latencies.
 //!
-//! Replay is event-driven. A core whose next cycles are pure no-ops
-//! ([`Core::sleep`]) is not called until its wake-up cycle; its skipped
-//! cycles are charged in bulk when it wakes, at the warm-up/measure
-//! boundary, and at the end of the run. When every core sleeps the clock
-//! jumps to the earliest wake-up. The memory system is timestamp-driven
-//! (it has no per-cycle tick), so skipping cycles that make no access is
-//! exact: results are identical to calling every core on every cycle.
+//! Replay is event-driven. After each cycle a core runs the coming
+//! cycles that make no memory-system call as one span ([`Core::span`]),
+//! and is not called again until the span ends; the span's cycles are
+//! charged in bulk when it ends, at the warm-up/measure boundary, and at
+//! the end of the run. When every core is inside a span the clock jumps
+//! to the earliest end. The memory system is timestamp-driven (it has
+//! no per-cycle tick), so running a core ahead through cycles that make
+//! no access is exact: results are identical to calling every core on
+//! every cycle.
 
 use dbcmp_trace::TraceBundle;
 
@@ -76,15 +78,15 @@ fn make_core(cfg: &MachineConfig, kind: CoreKind) -> Box<dyn Core> {
     }
 }
 
-/// A core's latest sleep: it is called again once `at <= now`, and its
-/// skipped cycles `from..at` are charged to `idle` as they are settled.
-/// A core with no work left sleeps forever with `idle: None` and is never
-/// charged again.
+/// A core's latest span: it is called again once `at <= now`, and the
+/// span's cycles `from..at` are charged to `class` as they are settled.
+/// A core with no work left sleeps forever with `class: None` and is
+/// never charged again.
 #[derive(Debug, Clone, Copy, Default)]
 struct Wake {
     at: u64,
     from: u64,
-    idle: Option<CycleClass>,
+    class: Option<CycleClass>,
 }
 
 /// A fully assembled machine, ready to execute.
@@ -158,10 +160,10 @@ impl<'a> Machine<'a> {
     }
 
     /// Run cycles until `end`, or — with `until_done` — until every
-    /// thread has finished, whichever comes first. Only awake cores are
-    /// called, in core order; a core that reports a no-op span sleeps
-    /// until its wake-up, and when every core sleeps the clock jumps to
-    /// the earliest one (capped at `end`).
+    /// thread has finished, whichever comes first. Only cores whose span
+    /// has ended are called, in core order; spans end by `end`, so no
+    /// retirement crosses a window edge, and when every core is inside a
+    /// span the clock jumps to the earliest end.
     fn run_to(&mut self, end: u64, until_done: bool) {
         while self.now < end && !(until_done && self.ctl.remaining == 0) {
             let now = self.now;
@@ -173,7 +175,7 @@ impl<'a> Machine<'a> {
                     continue;
                 }
                 self.settle(c, now);
-                match self.cycle_core(c, now) {
+                match self.cycle_core(c, now, end) {
                     Some(wake) => {
                         next = next.min(wake.at);
                         self.wake[c] = wake;
@@ -189,10 +191,11 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Run core `c`'s cycle at `now` and charge it. Returns the core's
-    /// new wake-up if it sleeps; `None` if it runs again next cycle (its
-    /// settled `Wake`, now in the past, stays as it is).
-    fn cycle_core(&mut self, c: usize, now: u64) -> Option<Wake> {
+    /// Run core `c`'s cycle at `now`, charge it, and let the core run its
+    /// span up to at most `end`. Returns the core's new wake-up if it ran
+    /// a span; `None` if it runs again next cycle (its settled `Wake`,
+    /// now in the past, stays as it is).
+    fn cycle_core(&mut self, c: usize, now: u64, end: u64) -> Option<Wake> {
         let charge = self.cores[c].cycle(
             c,
             now,
@@ -206,26 +209,29 @@ impl<'a> Machine<'a> {
             return Some(Wake {
                 at: u64::MAX,
                 from: now,
-                idle: None,
+                class: None,
             });
         };
         self.per_core[c].charge(class, 1);
-        if class == CycleClass::Compute {
-            return None;
-        }
-        let (at, idle) = self.cores[c].sleep(now, &self.threads)?;
+        let (at, class) = self.cores[c].span(
+            now,
+            end,
+            &mut self.threads,
+            &self.bundle.regions,
+            &mut self.ctl,
+        )?;
         Some(Wake {
             at,
             from: now + 1,
-            idle: Some(idle),
+            class: Some(class),
         })
     }
 
-    /// Charge core `c`'s skipped cycles up to `min(upto, wake-up)`.
+    /// Charge core `c`'s span cycles up to `min(upto, wake-up)`.
     fn settle(&mut self, c: usize, upto: u64) {
         let w = &mut self.wake[c];
         let to = upto.min(w.at);
-        if let Some(class) = w.idle {
+        if let Some(class) = w.class {
             if to > w.from {
                 self.per_core[c].charge(class, to - w.from);
                 w.from = to;
@@ -233,7 +239,8 @@ impl<'a> Machine<'a> {
         }
     }
 
-    /// Charge every sleeping core up to the current cycle (window edges).
+    /// Charge every core inside a span up to the current cycle (window
+    /// edges).
     fn settle_all(&mut self) {
         for c in 0..self.cores.len() {
             self.settle(c, self.now);
@@ -241,8 +248,8 @@ impl<'a> Machine<'a> {
     }
 
     /// Zero all measurement state (end of warm-up); cache/thread state is
-    /// preserved. Sleeping cores are charged up to the boundary first, so
-    /// the window counts only their cycles from here on.
+    /// preserved. Cores inside a span are charged up to the boundary
+    /// first, so the window counts only their cycles from here on.
     fn reset_measurement(&mut self) {
         self.settle_all();
         self.mem.reset_counters();
@@ -658,34 +665,39 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Sleeping cores and clock jumps are exact: for random workloads
-        /// (stores, fences, dependent loads, remote markers, more threads
-        /// than contexts under a short quantum) on fat, lean and mixed
+        /// Spans and clock jumps are exact: for random workloads (long
+        /// exec runs crossing I-lines in two regions, misprediction rates
+        /// up to 300 per 1000 instructions, stores, fences, dependent
+        /// loads, remote markers, more threads than contexts under short
+        /// quanta, threads of unequal length) on fat, lean and mixed
         /// machines, in both run modes with random window edges, the
         /// event-driven loop reproduces the per-cycle loop's result.
         #[test]
         fn sleeping_replay_matches_per_cycle_reference(
-            threads in prop::collection::vec((0u64..512, 1u64..16, 0u8..4), 1..7),
+            threads in prop::collection::vec((0u64..512, 1u64..16, 0u8..4, 1u32..90), 1..7),
             machine in 0u8..3,
             slow_link in any::<bool>(),
             completion in any::<bool>(),
             window in (500u64..3_000, 1_000u64..6_000),
-            quantum in 300u64..3_000,
+            quantum in 20u64..3_000,
+            mispred in (0.0f64..300.0, 0.0f64..40.0),
         ) {
             let mut regions = CodeRegions::new();
-            let r = regions.add("w", 8 << 10, 2.0);
+            let r = regions.add("w", 8 << 10, mispred.0);
+            let s = regions.add("s", 256, mispred.1);
             let traces = threads
                 .iter()
-                .map(|&(base, n, mix)| {
+                .map(|&(base, n, mix, run)| {
                     let mut t = Tracer::recording();
                     for k in 0..n * 8 {
-                        t.exec(r, 6);
+                        t.exec(r, run);
                         let addr = 0x10000 + (base + k * 7) * 64;
                         if mix == 3 && k % 3 == 0 {
                             t.load_dep(addr, 8);
                         } else {
                             t.load(addr, 8);
                         }
+                        t.exec(s, run / 2 + 1);
                         if mix >= 1 && k % 4 == 1 {
                             t.store(0x80000 + (k % 32) * 64, 8);
                         }
